@@ -154,10 +154,10 @@ void BM_ShardedQueryShed(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   const AdmissionStatsSnapshot admission = service.admission_stats();
   state.counters["shed_answer_share"] =
-      admission.shed_total() == 0
+      admission.shed == 0
           ? 0.0
           : static_cast<double>(admission.shed_with_answer) /
-                static_cast<double>(admission.shed_total());
+                static_cast<double>(admission.shed);
 }
 BENCHMARK(BM_ShardedQueryShed);
 

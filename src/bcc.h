@@ -19,7 +19,7 @@
 //   // snapshot (refresh() after restructuring; serving never blocks it):
 //   bcc::QueryService service(sys, {.threads = 8});
 //   auto results = service.submit_batch(requests);           // one snapshot
-//   auto stats = service.stats();                            // statuses/hops/latency
+//   auto stats = service.stats();  // this service's statuses/hops/latency
 #pragma once
 
 #include "common/csv.h"
@@ -56,7 +56,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/query_service.h"
-#include "serve/query_stats.h"
 #include "serve/snapshot.h"
 #include "serve/thread_pool.h"
 #include "stats/accuracy.h"

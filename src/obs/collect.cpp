@@ -295,49 +295,10 @@ bool decode_node_telemetry(const std::uint8_t* data, std::size_t len,
 
 RegistrySnapshot merge_fleet_metrics(
     const std::vector<NodeTelemetry>& fleet) {
-  // Per-gauge accumulator: the hint of the first node to report the gauge
-  // decides the policy (skewed fleets disagreeing on a hint are a deploy
-  // bug; first-seen beats silently mixing policies).
-  struct GaugeAccum {
-    GaugeAgg agg = GaugeAgg::kMax;
-    double value = 0.0;
-    double sum = 0.0;
-    std::uint64_t n = 0;
-  };
-  std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, GaugeAccum> gauges;
-  std::map<std::string, Histogram::Snapshot> histograms;
-  for (const NodeTelemetry& t : fleet) {
-    for (const auto& [name, v] : t.metrics.counters) counters[name] += v;
-    for (const RegistrySnapshot::GaugeEntry& g : t.metrics.gauges) {
-      auto [it, inserted] =
-          gauges.emplace(g.name, GaugeAccum{g.agg, g.value, g.value, 1});
-      if (inserted) continue;
-      GaugeAccum& a = it->second;
-      switch (a.agg) {
-        case GaugeAgg::kMax: a.value = std::max(a.value, g.value); break;
-        case GaugeAgg::kSum: a.value += g.value; break;
-        case GaugeAgg::kLast: a.value = g.value; break;
-        case GaugeAgg::kMean: break;  // resolved from sum/n below
-      }
-      a.sum += g.value;
-      ++a.n;
-    }
-    for (const auto& [name, h] : t.metrics.histograms) {
-      histograms[name].merge_from(h);
-    }
-  }
-  RegistrySnapshot out;  // maps iterate name-sorted, matching Registry
-  out.counters.assign(counters.begin(), counters.end());
-  out.gauges.reserve(gauges.size());
-  for (const auto& [name, a] : gauges) {
-    const double v = a.agg == GaugeAgg::kMean && a.n > 0
-                         ? a.sum / static_cast<double>(a.n)
-                         : a.value;
-    out.gauges.push_back({name, v, a.agg});
-  }
-  out.histograms.assign(histograms.begin(), histograms.end());
-  return out;
+  std::vector<const RegistrySnapshot*> parts;
+  parts.reserve(fleet.size());
+  for (const NodeTelemetry& t : fleet) parts.push_back(&t.metrics);
+  return merge_snapshots(parts);
 }
 
 std::vector<std::pair<std::string, std::uint64_t>> merge_fleet_profiles(

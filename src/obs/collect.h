@@ -92,15 +92,15 @@ std::vector<std::uint8_t> encode_node_telemetry(const NodeTelemetry& t);
 bool decode_node_telemetry(const std::uint8_t* data, std::size_t len,
                            NodeTelemetry* out);
 
-/// Fuses per-process registries into one fleet registry: counters add
-/// (bcc.net.frames_sent across the fleet is the sum of everyone's),
-/// histograms merge bucket-wise (exact — see Histogram::Snapshot::
-/// merge_from; exemplar slots keep the freshest), and each gauge merges by
-/// the GaugeAgg hint it was registered under — kMax for worst-observed
-/// (staleness, suspicion, queue depth, the historical default), kSum for
-/// additive occupancy, kLast for node-local scalars, kMean for ratios and
-/// rates (a max over cache_hit_ratio would report the luckiest node).
-/// Nodes disagreeing on a hint (skewed binaries) resolve first-seen-wins.
+/// Fuses per-process registries into one fleet registry with
+/// merge_snapshots (obs/metrics.h): counters add (bcc.net.frames_sent across
+/// the fleet is the sum of everyone's), histograms merge bucket-wise (exact;
+/// exemplar slots keep the freshest), and each gauge merges by the GaugeAgg
+/// hint it was registered under — kMax for worst-observed (staleness,
+/// suspicion, queue depth, the historical default), kSum for additive
+/// occupancy, kLast for node-local scalars, kMean for ratios and rates (a
+/// max over cache_hit_ratio would report the luckiest node). Nodes
+/// disagreeing on a hint (skewed binaries) resolve first-seen-wins.
 RegistrySnapshot merge_fleet_metrics(const std::vector<NodeTelemetry>& fleet);
 
 /// Fuses the fleet's profiler summaries into one folded-stack list (counts

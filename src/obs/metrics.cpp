@@ -233,6 +233,74 @@ Histogram& Registry::histogram(std::string_view name) {
   return *it->second;
 }
 
+RegistrySnapshot merge_snapshots(
+    std::span<const RegistrySnapshot* const> parts) {
+  struct GaugeAccum {
+    GaugeAgg agg = GaugeAgg::kMax;
+    double value = 0.0;
+    double sum = 0.0;
+    std::uint64_t n = 0;
+  };
+  std::map<std::string, std::uint64_t, std::less<>> counters;
+  std::map<std::string, GaugeAccum, std::less<>> gauges;
+  std::map<std::string, Histogram::Snapshot, std::less<>> histograms;
+  for (const RegistrySnapshot* part : parts) {
+    for (const auto& [name, v] : part->counters) counters[name] += v;
+    for (const RegistrySnapshot::GaugeEntry& g : part->gauges) {
+      auto [it, inserted] =
+          gauges.emplace(g.name, GaugeAccum{g.agg, g.value, g.value, 1});
+      if (inserted) continue;
+      GaugeAccum& a = it->second;
+      switch (a.agg) {
+        case GaugeAgg::kMax: a.value = std::max(a.value, g.value); break;
+        case GaugeAgg::kSum: a.value += g.value; break;
+        case GaugeAgg::kLast: a.value = g.value; break;
+        case GaugeAgg::kMean: break;  // resolved from sum/n below
+      }
+      a.sum += g.value;
+      ++a.n;
+    }
+    for (const auto& [name, h] : part->histograms) {
+      histograms[name].merge_from(h);
+    }
+  }
+  RegistrySnapshot out;  // maps iterate name-sorted, matching Registry
+  out.counters.assign(counters.begin(), counters.end());
+  out.gauges.reserve(gauges.size());
+  for (const auto& [name, a] : gauges) {
+    const double v = a.agg == GaugeAgg::kMean && a.n > 0
+                         ? a.sum / static_cast<double>(a.n)
+                         : a.value;
+    out.gauges.push_back({name, v, a.agg});
+  }
+  out.histograms.assign(histograms.begin(), histograms.end());
+  return out;
+}
+
+void LazyCounter::add(std::uint64_t n) {
+  Counter* c = counter_.load(std::memory_order_acquire);
+  if (c == nullptr) {
+    // Racing first adds all get the same instrument (get-or-create).
+    c = &registry_->counter(name_);
+    counter_.store(c, std::memory_order_release);
+  }
+  c->add(n);
+}
+
+LazyCounter Registry::lazy_counter(std::string_view name) {
+  BCC_REQUIRE(valid_metric_name(name));
+  return LazyCounter(this, name);
+}
+
+Registry::Registry(Registry& parent) : parent_(&parent) {
+  std::lock_guard<std::mutex> lock(parent.mutex_);
+  parent.children_.push_back(this);
+}
+
+Registry::~Registry() {
+  if (parent_ != nullptr) parent_->retire(*this, /*detach=*/true);
+}
+
 RegistrySnapshot Registry::snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   RegistrySnapshot s;
@@ -246,14 +314,41 @@ RegistrySnapshot Registry::snapshot() const {
   for (const auto& [name, h] : histograms_) {
     s.histograms.emplace_back(name, h->snapshot());
   }
-  return s;
+  if (children_.empty() && retired_.empty()) return s;
+  std::vector<RegistrySnapshot> live;
+  live.reserve(children_.size());
+  for (const Registry* child : children_) live.push_back(child->snapshot());
+  std::vector<const RegistrySnapshot*> parts = {&s, &retired_};
+  for (const RegistrySnapshot& c : live) parts.push_back(&c);
+  return merge_snapshots(parts);
 }
 
 void Registry::reset() {
+  if (parent_ != nullptr) {
+    parent_->retire(*this, /*detach=*/false);
+  } else {
+    zero();
+  }
+}
+
+void Registry::zero() {
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [name, c] : counters_) c->reset();
   for (auto& [name, g] : gauges_) g->reset();
   for (auto& [name, h] : histograms_) h->reset();
+  retired_ = RegistrySnapshot{};
+}
+
+void Registry::retire(Registry& child, bool detach) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const RegistrySnapshot values = child.snapshot();
+  const RegistrySnapshot* parts[] = {&retired_, &values};
+  retired_ = merge_snapshots(parts);
+  if (detach) {
+    children_.erase(std::find(children_.begin(), children_.end(), &child));
+  } else {
+    child.zero();
+  }
 }
 
 Registry& Registry::global() {

@@ -25,6 +25,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -63,20 +64,6 @@ constexpr const char* to_string(GaugeAgg agg) {
 class Counter {
  public:
   static constexpr std::size_t kStripes = 16;
-
-  Counter() = default;
-  /// Copies/moves carry the value (collapsed into one stripe), not the
-  /// atomics — so aggregates that embed a Counter (e.g. MessageMetrics)
-  /// stay movable. Not safe while the source is being written concurrently.
-  Counter(const Counter& other) noexcept {
-    cells_[0].v.store(other.value(), std::memory_order_relaxed);
-  }
-  Counter& operator=(const Counter& other) noexcept {
-    const std::uint64_t v = other.value();
-    reset();
-    cells_[0].v.store(v, std::memory_order_relaxed);
-    return *this;
-  }
 
   void add(std::uint64_t n = 1) noexcept {
     cells_[stripe_index()].v.fetch_add(n, std::memory_order_relaxed);
@@ -235,12 +222,58 @@ struct RegistrySnapshot {
   }
 };
 
+/// Fuses snapshots into one: counters sum, histograms merge bucket-wise
+/// (exact, see Histogram::Snapshot::merge_from), and gauges follow the
+/// GaugeAgg hint they were registered under (the first part to carry a
+/// gauge decides its hint; kMean averages over the parts that carry it).
+/// The one merge behind both a registry's children (Registry::snapshot)
+/// and a fleet of processes (obs/collect.h merge_fleet_metrics).
+RegistrySnapshot merge_snapshots(
+    std::span<const RegistrySnapshot* const> parts);
+
+class Registry;
+
+/// A counter that registers itself on its first add(), so its name shows up
+/// in exports once its event has happened rather than at zero from the
+/// start (rare outcomes: shed queries, argument errors). Made by
+/// Registry::lazy_counter; costs one acquire load over Counter::add.
+class LazyCounter {
+ public:
+  void add(std::uint64_t n = 1);
+  std::uint64_t value() const noexcept {
+    const Counter* c = counter_.load(std::memory_order_acquire);
+    return c == nullptr ? 0 : c->value();
+  }
+
+ private:
+  friend class Registry;
+  LazyCounter(Registry* registry, std::string_view name)
+      : registry_(registry), name_(name) {}
+  Registry* registry_;
+  std::string_view name_;  // a literal (static storage)
+  std::atomic<Counter*> counter_{nullptr};
+};
+
 /// Named instrument registry. get-or-create accessors validate the naming
 /// convention (BCC_REQUIRE) and return references that stay valid for the
 /// registry's lifetime; a name is permanently bound to its first kind
 /// (re-registering `bcc.x.y` as a different kind throws).
+///
+/// Registries form a tree. A component (one QueryService, one simulation's
+/// MessageMetrics) records into its own registry attached to global(), so
+/// it can read back exactly its own counts, while global().snapshot() still
+/// reports every name summed over all components. When a component
+/// registry is reset or destroyed, its values fold into the parent first:
+/// the parent's view stays cumulative over the process lifetime.
 class Registry {
  public:
+  Registry() = default;
+  /// A component registry attached to `parent`, which must outlive it.
+  explicit Registry(Registry& parent);
+  ~Registry();
+  Registry(const Registry&) = delete;
+  Registry& operator=(const Registry&) = delete;
+
   Counter& counter(std::string_view name);
   /// Get-or-create. The aggregation hint is bound at first registration
   /// (default kMax — the historical "worst observed" policy); a later call
@@ -250,15 +283,21 @@ class Registry {
   Gauge& gauge(std::string_view name);
   Gauge& gauge(std::string_view name, GaugeAgg agg);
   Histogram& histogram(std::string_view name);
+  /// A counter registered under `name` (a string literal) on first add().
+  LazyCounter lazy_counter(std::string_view name);
 
-  /// Coherent-enough copy of every instrument for exporters and tests.
+  /// Coherent-enough copy of every instrument for exporters and tests: this
+  /// registry's own, merged (merge_snapshots) with its live children's and
+  /// with what retired children left behind.
   RegistrySnapshot snapshot() const;
 
-  /// Zeroes all values; registrations (and outstanding references) survive.
+  /// Zeroes this registry's values; registrations (and outstanding
+  /// references) survive. An attached registry first folds its values into
+  /// its parent. Live children keep theirs.
   void reset();
 
   /// The process-wide default registry every built-in instrumentation site
-  /// records into.
+  /// records into, and the parent of every component registry.
   static Registry& global();
 
  private:
@@ -266,11 +305,20 @@ class Registry {
   using NamedMap = std::map<std::string, std::unique_ptr<T>, std::less<>>;
 
   void check_new_name(std::string_view name) const;  // callers hold mutex_
+  /// Zeroes own instruments and clears retired_.
+  void zero();
+  /// Folds `child`'s values into retired_, then detaches the child (it is
+  /// being destroyed) or zeroes it (it is being reset) — under mutex_, so
+  /// no snapshot of this registry counts those values twice or not at all.
+  void retire(Registry& child, bool detach);
 
-  mutable std::mutex mutex_;
+  Registry* const parent_ = nullptr;
+  mutable std::mutex mutex_;  // lock order: a parent's before its child's
   NamedMap<Counter> counters_;      // guarded by mutex_ (map structure only;
   NamedMap<Gauge> gauges_;          //  instrument values are atomic)
   NamedMap<Histogram> histograms_;  // ditto
+  std::vector<Registry*> children_;  // guarded by mutex_
+  RegistrySnapshot retired_;         // guarded by mutex_
 };
 
 }  // namespace bcc::obs

@@ -14,78 +14,6 @@ namespace bcc {
 
 namespace {
 
-// Serving-layer instruments in the global registry (the per-service
-// QueryStats stays the precise per-instance view; these aggregate across
-// services for export).
-obs::Counter& g_queries() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("bcc.serve.queries");
-  return c;
-}
-obs::Counter& g_cache_hits() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("bcc.serve.cache_hits");
-  return c;
-}
-obs::Histogram& g_query_micros() {
-  static obs::Histogram& h =
-      obs::Registry::global().histogram("bcc.serve.query_micros");
-  return h;
-}
-obs::Gauge& g_cache_hit_ratio() {
-  // kMean: a fleet-wide hit ratio is the average of the node ratios, not
-  // their max (the old policy quietly reported the luckiest node).
-  static obs::Gauge& g = obs::Registry::global().gauge(
-      "bcc.serve.cache_hit_ratio", obs::GaugeAgg::kMean);
-  return g;
-}
-
-// Shard-plane instruments: admission and shedding.
-obs::Counter& g_shard_admitted() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("bcc.serve.shard.admitted");
-  return c;
-}
-obs::Counter& g_shard_shed() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("bcc.serve.shard.shed");
-  return c;
-}
-obs::Counter& g_shard_shed_with_answer() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("bcc.serve.shard.shed_with_answer");
-  return c;
-}
-obs::Counter& g_shard_deadline_expired() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("bcc.serve.shard.deadline_expired");
-  return c;
-}
-obs::Gauge& g_shard_inflight() {
-  // kSum: in-flight queries add up across nodes; the fleet view wants the
-  // total load, not one shard's.
-  static obs::Gauge& g = obs::Registry::global().gauge(
-      "bcc.serve.shard.inflight", obs::GaugeAgg::kSum);
-  return g;
-}
-
-void record_query_obs(std::uint64_t micros, bool cache_hit,
-                      std::uint64_t trace_id) {
-  g_queries().add(1);
-  if (cache_hit) g_cache_hits().add(1);
-  // The trace id rides the latency histogram as a per-bucket exemplar, so a
-  // p99 spike in `bcc top` names a concrete query to pull the trace for.
-  g_query_micros().record_with_exemplar(micros, trace_id);
-  // Refreshing the ratio gauge sums every stripe of two counters (32 padded
-  // cache lines); sample it rather than paying that on each query. The first
-  // query still publishes so the gauge is live immediately.
-  thread_local std::uint32_t tick = 0;
-  if ((tick++ & 63u) == 0) {
-    g_cache_hit_ratio().set(static_cast<double>(g_cache_hits().value()) /
-                            static_cast<double>(g_queries().value()));
-  }
-}
-
 std::size_t resolve_threads(std::size_t requested) {
   if (requested > 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -138,7 +66,31 @@ struct StageClock {
 
 QueryService::QueryService(const DecentralizedClusterSystem& system,
                            QueryServiceOptions options)
-    : options_(options),
+    : queries_(registry_.counter("bcc.serve.queries")),
+      cache_hits_(registry_.counter("bcc.serve.cache_hits")),
+      query_micros_(registry_.histogram("bcc.serve.query_micros")),
+      query_hops_(registry_.histogram("bcc.serve.query_hops")),
+      // kMean: a fleet-wide hit ratio is the average of the node ratios,
+      // not their max (which would report the luckiest node).
+      cache_hit_ratio_(registry_.gauge("bcc.serve.cache_hit_ratio",
+                                       obs::GaugeAgg::kMean)),
+      outcomes_{registry_.lazy_counter("bcc.serve.not_found"),
+                registry_.lazy_counter("bcc.serve.invalid_k"),
+                registry_.lazy_counter("bcc.serve.bandwidth_unsatisfiable"),
+                registry_.lazy_counter("bcc.serve.unknown_start"),
+                registry_.lazy_counter("bcc.serve.shard.shed")},
+      admitted_(registry_.lazy_counter("bcc.serve.shard.admitted")),
+      deadline_expired_(
+          registry_.lazy_counter("bcc.serve.shard.deadline_expired")),
+      shed_with_answer_(
+          registry_.lazy_counter("bcc.serve.shard.shed_with_answer")),
+      // kSum: in-flight queries add up across nodes; the fleet view wants
+      // the total load, not one shard's.
+      shard_inflight_(options.admission.enabled()
+                          ? &registry_.gauge("bcc.serve.shard.inflight",
+                                             obs::GaugeAgg::kSum)
+                          : nullptr),
+      options_(options),
       pool_(resolve_threads(options.threads)),
       snapshot_(snapshot_of(system, /*version=*/1)) {
   options_.threads = pool_.size();
@@ -159,20 +111,43 @@ QueryResult QueryService::shed(QueryShard& shard, const QueryKey& key,
   if (stale) {
     // The payload (cluster/hops/route/class/snapshot_version) is the answer
     // last memoized from a converged snapshot; keep it, mark it shed+stale.
-    shed_with_answer_.fetch_add(1, std::memory_order_relaxed);
-    g_shard_shed_with_answer().add(1);
+    shed_with_answer_.add(1);
   } else {
     result.snapshot_version = snap.version;
     result.class_idx = key.class_idx;
   }
   result.status = QueryStatus::kShed;
   result.degraded = true;
-  if (deadline_expired) {
-    deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-    g_shard_deadline_expired().add(1);
-  }
-  g_shard_shed().add(1);
+  if (deadline_expired) deadline_expired_.add(1);
   return result;
+}
+
+static_assert(static_cast<std::size_t>(QueryStatus::kFound) == 0,
+              "outcomes_ and by_status[0] assume kFound is status 0");
+
+void QueryService::record(const QueryResult& result, bool cache_hit) {
+  queries_.add(1);
+  std::atomic_thread_fence(std::memory_order_release);
+  if (result.status != QueryStatus::kFound) {
+    outcomes_[static_cast<std::size_t>(result.status) - 1].add(1);
+  }
+  std::atomic_thread_fence(std::memory_order_release);
+  // The trace id rides the latency histogram as a per-bucket exemplar, so a
+  // p99 spike in `bcc top` names a concrete query to pull the trace for.
+  query_micros_.record_with_exemplar(result.micros, result.trace_id);
+  if (cache_hit) cache_hits_.add(1);
+  if (result.status == QueryStatus::kFound ||
+      result.status == QueryStatus::kNotFound) {
+    query_hops_.record(result.hops);
+  }
+  // Refreshing the ratio gauge sums every stripe of two counters (32 padded
+  // cache lines); sample it rather than paying that on each query. The first
+  // query still publishes so the gauge is live immediately.
+  thread_local std::uint32_t tick = 0;
+  if ((tick++ & 63u) == 0) {
+    cache_hit_ratio_.set(static_cast<double>(cache_hits_.value()) /
+                         static_cast<double>(queries_.value()));
+  }
 }
 
 QueryResult QueryService::serve_one(const SystemSnapshot& snap,
@@ -235,8 +210,7 @@ QueryResult QueryService::serve_one(const SystemSnapshot& snap,
           static_cast<std::uint32_t>(QueryKeyHash{}(err_key) % shards_.size());
     }
     stamp(result, QueryPath::kBypass, &QueryProfile::validate_ns);
-    shard_for(err_key).stats().record(result);
-    record_query_obs(result.micros, /*cache_hit=*/false, result.trace_id);
+    record(result, /*cache_hit=*/false);
     return result;
   }
 
@@ -258,8 +232,7 @@ QueryResult QueryService::serve_one(const SystemSnapshot& snap,
     stamp(result,
           stale ? QueryPath::kStaleFallback : QueryPath::kShedEmpty,
           &QueryProfile::cache_ns);
-    shard.stats().record(result);
-    record_query_obs(result.micros, /*cache_hit=*/false, result.trace_id);
+    record(result, /*cache_hit=*/false);
     return result;
   }
 
@@ -268,31 +241,24 @@ QueryResult QueryService::serve_one(const SystemSnapshot& snap,
     const AdmitDecision decision =
         shard.admit(options_.admission, request.priority, now_micros());
     if (decision != AdmitDecision::kAdmitted) {
-      auto& counter = decision == AdmitDecision::kShedQueueFull
-                          ? shed_queue_full_
-                          : shed_no_tokens_;
-      counter.fetch_add(1, std::memory_order_relaxed);
       prof.admission_ns = clock.lap();
       result = shed(shard, key, snap, /*deadline_expired=*/false, &stale);
       stamp(result,
             stale ? QueryPath::kStaleFallback : QueryPath::kShedEmpty,
             &QueryProfile::cache_ns);
-      shard.stats().record(result);
-      record_query_obs(result.micros, /*cache_hit=*/false, result.trace_id);
+      record(result, /*cache_hit=*/false);
       return result;
     }
     fin.shard = &shard;
-    admitted_.fetch_add(1, std::memory_order_relaxed);
-    g_shard_admitted().add(1);
-    g_shard_inflight().set(static_cast<double>(shard.inflight()));
+    admitted_.add(1);
+    shard_inflight_->set(static_cast<double>(shard.inflight()));
   }
   prof.admission_ns += clock.lap();
 
   if (options_.cache_enabled && shard.cache_lookup(key, snap.version,
                                                    &result)) {
     stamp(result, QueryPath::kCacheHit, &QueryProfile::cache_ns);
-    shard.stats().record(result, /*cache_hit=*/true);
-    record_query_obs(result.micros, /*cache_hit=*/true, result.trace_id);
+    record(result, /*cache_hit=*/true);
     return result;
   }
   prof.cache_ns = clock.lap();
@@ -302,8 +268,7 @@ QueryResult QueryService::serve_one(const SystemSnapshot& snap,
   if (options_.cache_enabled && cacheable(result.status)) {
     shard.cache_store(key, snap.version, result, snap.converged);
   }
-  shard.stats().record(result);
-  record_query_obs(result.micros, /*cache_hit=*/false, result.trace_id);
+  record(result, /*cache_hit=*/false);
   return result;
 }
 
@@ -409,22 +374,46 @@ std::shared_ptr<const SystemSnapshot> QueryService::snapshot() const {
 }
 
 QueryStats::Snapshot QueryService::stats() const {
-  QueryStats::Snapshot total{};
-  for (const auto& shard : shards_) total.merge(shard->stats().snapshot());
-  return total;
-}
-
-void QueryService::reset_stats() {
-  for (const auto& shard : shards_) shard->stats().reset();
+  // record() writes queries_, a release fence, the outcome counter, a
+  // release fence, then query_micros_, cache_hits_ and query_hops_. This
+  // reads them in the reverse order with an acquire fence before each of
+  // the last two steps, so a query seen by an earlier read is seen by every
+  // later read of what it wrote before that fence. Hence the queries counted
+  // in hops, hits, latency and outcomes are all among those counted in
+  // `queries`, and every latency sample's outcome is among the outcomes
+  // read. When `queries` equals the latency count the two sets are the
+  // same, so the outcomes, hits and hops are exactly theirs: no pair of
+  // in-flight queries can cancel out. Under relentless load this retries a
+  // bounded number of times, then returns the last read flagged
+  // inconsistent; it never blocks writers.
+  constexpr int kMaxAttempts = 64;
+  QueryStats::Snapshot s;
+  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
+    s.hops = query_hops_.snapshot();
+    s.cache_hits = cache_hits_.value();
+    s.latency = query_micros_.snapshot();
+    std::atomic_thread_fence(std::memory_order_acquire);
+    std::uint64_t others = 0;
+    for (std::size_t i = 0; i < outcomes_.size(); ++i) {
+      s.by_status[i + 1] = outcomes_[i].value();
+      others += s.by_status[i + 1];
+    }
+    std::atomic_thread_fence(std::memory_order_acquire);
+    const std::uint64_t queries = queries_.value();
+    // A concurrent reset_stats() can zero queries_ before the outcomes.
+    s.by_status[0] = queries >= others ? queries - others : 0;
+    s.consistent = queries >= others && queries == s.latency.count;
+    if (s.consistent) break;
+  }
+  return s;
 }
 
 AdmissionStatsSnapshot QueryService::admission_stats() const {
   AdmissionStatsSnapshot s;
-  s.admitted = admitted_.load(std::memory_order_relaxed);
-  s.shed_queue_full = shed_queue_full_.load(std::memory_order_relaxed);
-  s.shed_no_tokens = shed_no_tokens_.load(std::memory_order_relaxed);
-  s.deadline_expired = deadline_expired_.load(std::memory_order_relaxed);
-  s.shed_with_answer = shed_with_answer_.load(std::memory_order_relaxed);
+  s.admitted = admitted_.value();
+  s.shed = outcomes_[static_cast<std::size_t>(QueryStatus::kShed) - 1].value();
+  s.deadline_expired = deadline_expired_.value();
+  s.shed_with_answer = shed_with_answer_.value();
   for (const auto& shard : shards_) {
     s.peak_shard_inflight = std::max(s.peak_shard_inflight,
                                      shard->peak_inflight());

@@ -16,8 +16,13 @@
 //     Restructuring never blocks serving and serving never blocks
 //     restructuring; retired snapshots are reclaimed after a grace period;
 //   * every request hashes to a QueryShard (src/serve/shard.h) owning its
-//     own memo cache, QueryStats, and admission state — cores serving
-//     different shards share nothing.
+//     own memo cache and admission state — cores serving different shards
+//     share nothing.
+//
+// Each service records every query and admission outcome once, into its
+// own obs::Registry attached to obs::Registry::global(): stats() and
+// admission_stats() read that registry back, and the global export sums it
+// with every other service's `bcc.serve.*` counts, past and present.
 //
 // When admission control is on (options.admission) an overloaded shard
 // sheds instead of queueing: the response comes back with
@@ -33,27 +38,59 @@
 // at once is allowed (versions stay monotonic) but pointless.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "serve/epoch.h"
-#include "serve/query_stats.h"
 #include "serve/shard.h"
 #include "serve/snapshot.h"
 #include "serve/thread_pool.h"
 
 namespace bcc {
 
+/// Service-wide serving statistics, read back from the service's registry
+/// (QueryService::stats()). A plain value.
+struct QueryStats {
+  struct Snapshot {
+    std::array<std::uint64_t, kQueryStatusCount> by_status{};
+    std::uint64_t cache_hits = 0;
+    /// Route length of every routed (found / not-found) query.
+    obs::Histogram::Snapshot hops;
+    /// Serve time in microseconds of every query.
+    obs::Histogram::Snapshot latency;
+    /// True when the counts describe one set of finished queries:
+    /// sum(by_status) == latency.count, and cache_hits and hops.count
+    /// belong to those queries (see QueryService::stats()).
+    bool consistent = true;
+
+    std::uint64_t count(QueryStatus status) const {
+      return by_status[static_cast<std::size_t>(status)];
+    }
+    std::uint64_t total() const {
+      std::uint64_t sum = 0;
+      for (std::uint64_t c : by_status) sum += c;
+      return sum;
+    }
+    /// Upper bound of the latency bucket holding percentile p (0..100];
+    /// accurate to the bucket's factor-of-two width. 0 when empty.
+    std::uint64_t latency_percentile_micros(double p) const {
+      return latency.quantile(p);
+    }
+  };
+};
+
 struct QueryServiceOptions {
   /// Worker threads; 0 = hardware concurrency (at least 1).
   std::size_t threads = 0;
   /// Memoize per-(start, k, class) results until the next snapshot swap.
   bool cache_enabled = true;
-  /// Query-plane shard count: each shard owns a cache partition, a stats
-  /// instance, and its admission state.
+  /// Query-plane shard count: each shard owns a cache partition and its
+  /// admission state.
   std::size_t shards = 16;
   /// Per-shard admission control; default-constructed = admit everything.
   AdmissionOptions admission;
@@ -63,17 +100,14 @@ struct QueryServiceOptions {
 /// admission control is disabled and no deadlines are set).
 struct AdmissionStatsSnapshot {
   std::uint64_t admitted = 0;
-  std::uint64_t shed_queue_full = 0;
-  std::uint64_t shed_no_tokens = 0;
+  /// Every kShed response: refused by admission control or past deadline.
+  std::uint64_t shed = 0;
+  /// Of the shed responses, how many were past their deadline.
   std::uint64_t deadline_expired = 0;
   /// Of the shed responses, how many carried a stale best-effort payload.
   std::uint64_t shed_with_answer = 0;
   /// Max concurrently served queries observed on any one shard.
   std::size_t peak_shard_inflight = 0;
-
-  std::uint64_t shed_total() const {
-    return shed_queue_full + shed_no_tokens + deadline_expired;
-  }
 };
 
 /// See file comment.
@@ -111,9 +145,10 @@ class QueryService {
   std::uint64_t snapshot_version() const { return snapshot()->version; }
 
   const QueryServiceOptions& options() const { return options_; }
-  /// Service-wide stats: per-shard QueryStats merged into one snapshot.
+  /// Service-wide stats, read from this service's registry.
   QueryStats::Snapshot stats() const;
-  void reset_stats();
+  /// Zeroes this service's stats; the global export keeps the counts.
+  void reset_stats() { registry_.reset(); }
 
   AdmissionStatsSnapshot admission_stats() const;
   /// Queries currently being served across all shards (0 once quiescent —
@@ -143,6 +178,24 @@ class QueryService {
   QueryShard& shard_for(const QueryKey& key) {
     return *shards_[QueryKeyHash{}(key) % shards_.size()];
   }
+  /// Counts one answered query in registry_ (the order of its writes is
+  /// what makes stats() consistent; see there).
+  void record(const QueryResult& result, bool cache_hit);
+
+  // First member: outlives every reference into it below.
+  obs::Registry registry_{obs::Registry::global()};
+  obs::Counter& queries_;
+  obs::Counter& cache_hits_;
+  obs::Histogram& query_micros_;
+  obs::Histogram& query_hops_;
+  obs::Gauge& cache_hit_ratio_;
+  /// Outcome counters: one per QueryStatus except kFound, which is
+  /// queries_ minus the rest. kShed's is bcc.serve.shard.shed.
+  std::array<obs::LazyCounter, kQueryStatusCount - 1> outcomes_;
+  obs::LazyCounter admitted_;
+  obs::LazyCounter deadline_expired_;
+  obs::LazyCounter shed_with_answer_;
+  obs::Gauge* shard_inflight_;  // registered when admission is enabled
 
   QueryServiceOptions options_;
   ThreadPool pool_;
@@ -151,13 +204,6 @@ class QueryService {
   EpochPtr<SystemSnapshot> snapshot_;
   std::mutex refresh_mutex_;        // serializes version allocation + publish
   std::uint64_t next_version_ = 2;  // guarded by refresh_mutex_
-
-  // Service-wide admission counters (relaxed: diagnostics, not invariants).
-  std::atomic<std::uint64_t> admitted_{0};
-  std::atomic<std::uint64_t> shed_queue_full_{0};
-  std::atomic<std::uint64_t> shed_no_tokens_{0};
-  std::atomic<std::uint64_t> deadline_expired_{0};
-  std::atomic<std::uint64_t> shed_with_answer_{0};
 };
 
 }  // namespace bcc

@@ -2,112 +2,41 @@
 
 namespace bcc {
 
-namespace {
-
-// Process-wide totals mirrored on every record/count_* call. Function-local
-// statics: registered once, the references stay valid for process lifetime
-// (Registry never destroys instruments).
-obs::Counter& g_messages() {
-  static obs::Counter& c = obs::Registry::global().counter("bcc.sim.messages");
-  return c;
-}
-obs::Counter& g_bytes() {
-  static obs::Counter& c = obs::Registry::global().counter("bcc.sim.bytes");
-  return c;
-}
-obs::Counter& g_dropped() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("bcc.sim.faults_dropped");
-  return c;
-}
-obs::Counter& g_duplicated() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("bcc.sim.faults_duplicated");
-  return c;
-}
-obs::Counter& g_retried() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("bcc.sim.faults_retried");
-  return c;
-}
-obs::Counter& g_suspected() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("bcc.sim.faults_suspected");
-  return c;
-}
-
-}  // namespace
-
-MessageMetrics::MessageMetrics() {
-  // Touch the global mirrors so exports list the traffic/fault counters (at
-  // 0) as soon as any simulation exists, not only after the first fault.
-  g_messages();
-  g_bytes();
-  g_dropped();
-  g_duplicated();
-  g_retried();
-  g_suspected();
-}
+MessageMetrics::MessageMetrics()
+    : registry_(std::make_unique<obs::Registry>(obs::Registry::global())),
+      // Registered up front, so exports list the traffic/fault counters (at
+      // 0) as soon as any simulation exists, not only after the first fault.
+      messages_(&registry_->counter("bcc.sim.messages")),
+      bytes_(&registry_->counter("bcc.sim.bytes")),
+      dropped_(&registry_->counter("bcc.sim.faults_dropped")),
+      duplicated_(&registry_->counter("bcc.sim.faults_duplicated")),
+      retried_(&registry_->counter("bcc.sim.faults_retried")),
+      suspected_(&registry_->counter("bcc.sim.faults_suspected")) {}
 
 void MessageMetrics::record(std::string_view category, std::size_t bytes) {
-  auto it = counters_.find(category);
-  if (it == counters_.end()) {
-    it = counters_.emplace(std::string(category), Counter{}).first;
+  auto it = categories_.find(category);
+  if (it == categories_.end()) {
+    it = categories_.emplace(std::string(category), Tally{}).first;
   }
   ++it->second.messages;
   it->second.bytes += bytes;
-  g_messages().add(1);
-  g_bytes().add(bytes);
-}
-
-void MessageMetrics::count_dropped() {
-  dropped_.add(1);
-  g_dropped().add(1);
-}
-
-void MessageMetrics::count_duplicated() {
-  duplicated_.add(1);
-  g_duplicated().add(1);
-}
-
-void MessageMetrics::count_retried() {
-  retried_.add(1);
-  g_retried().add(1);
-}
-
-void MessageMetrics::count_suspected() {
-  suspected_.add(1);
-  g_suspected().add(1);
+  messages_->add(1);
+  bytes_->add(bytes);
 }
 
 std::size_t MessageMetrics::messages(std::string_view category) const {
-  auto it = counters_.find(category);
-  return it == counters_.end() ? 0 : it->second.messages;
+  auto it = categories_.find(category);
+  return it == categories_.end() ? 0 : it->second.messages;
 }
 
 std::size_t MessageMetrics::bytes(std::string_view category) const {
-  auto it = counters_.find(category);
-  return it == counters_.end() ? 0 : it->second.bytes;
-}
-
-std::size_t MessageMetrics::total_messages() const {
-  std::size_t total = 0;
-  for (const auto& [name, c] : counters_) total += c.messages;
-  return total;
-}
-
-std::size_t MessageMetrics::total_bytes() const {
-  std::size_t total = 0;
-  for (const auto& [name, c] : counters_) total += c.bytes;
-  return total;
+  auto it = categories_.find(category);
+  return it == categories_.end() ? 0 : it->second.bytes;
 }
 
 void MessageMetrics::reset() {
-  counters_.clear();
-  dropped_.reset();
-  duplicated_.reset();
-  retried_.reset();
-  suspected_.reset();
+  categories_.clear();
+  registry_->reset();
 }
 
 }  // namespace bcc

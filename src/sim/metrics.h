@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -19,19 +20,17 @@
 
 namespace bcc {
 
-/// Per-category message/byte counters, plus fault-event counters filled in
+/// Per-category message/byte counts, plus fault-event counters filled in
 /// by the fault-injection layer (sim/fault.h) and the resilient gossip path
 /// (core/async_overlay): messages dropped by the lossy channel or a crashed
 /// receiver, duplicated deliveries, sender retries after ack timeouts, and
 /// peers marked suspected after consecutive missed acks.
 ///
-/// The counters live on the obs substrate: each instance holds its own
-/// obs::Counter per fault kind (the accessors below are thin wrappers over
-/// Counter::value(), keeping the pre-obs API intact), and every record /
-/// count_* call additionally bumps the process-wide totals in
-/// obs::Registry::global() (`bcc.sim.messages`, `bcc.sim.bytes`,
-/// `bcc.sim.faults_*`) so exporters see gossip traffic without having to
-/// find every Engine/EventEngine instance.
+/// Totals and faults are counted once, in this instance's own obs::Registry
+/// (`bcc.sim.messages`, `bcc.sim.bytes`, `bcc.sim.faults_*`), which is
+/// attached to obs::Registry::global(): exporters see every simulation's
+/// traffic summed, including simulations already destroyed. Movable (the
+/// registry is held by pointer, so its attachment survives the move).
 class MessageMetrics {
  public:
   MessageMetrics();
@@ -42,44 +41,42 @@ class MessageMetrics {
   std::size_t messages(std::string_view category) const;
   std::size_t bytes(std::string_view category) const;
 
-  std::size_t total_messages() const;
-  std::size_t total_bytes() const;
+  std::size_t total_messages() const { return value(*messages_); }
+  std::size_t total_bytes() const { return value(*bytes_); }
 
-  // -- Fault events (see file comment). Thin wrappers over the re-homed
-  //    obs counters; per-instance values, global registry mirrored.
-  void count_dropped();
-  void count_duplicated();
-  void count_retried();
-  void count_suspected();
+  // -- Fault events (see class comment).
+  void count_dropped() { dropped_->add(1); }
+  void count_duplicated() { duplicated_->add(1); }
+  void count_retried() { retried_->add(1); }
+  void count_suspected() { suspected_->add(1); }
 
-  std::size_t dropped() const {
-    return static_cast<std::size_t>(dropped_.value());
-  }
-  std::size_t duplicated() const {
-    return static_cast<std::size_t>(duplicated_.value());
-  }
-  std::size_t retried() const {
-    return static_cast<std::size_t>(retried_.value());
-  }
-  std::size_t suspected() const {
-    return static_cast<std::size_t>(suspected_.value());
-  }
+  std::size_t dropped() const { return value(*dropped_); }
+  std::size_t duplicated() const { return value(*duplicated_); }
+  std::size_t retried() const { return value(*retried_); }
+  std::size_t suspected() const { return value(*suspected_); }
 
-  /// Resets this instance's counters (the global registry totals are
-  /// cumulative across instances and are not touched).
+  /// Resets this instance's counts (the global registry keeps them: they
+  /// are folded into it first).
   void reset();
 
  private:
-  struct Counter {
+  static std::size_t value(const obs::Counter& c) {
+    return static_cast<std::size_t>(c.value());
+  }
+
+  struct Tally {
     std::size_t messages = 0;
     std::size_t bytes = 0;
   };
   // std::less<> enables heterogeneous find with string_view keys.
-  std::map<std::string, Counter, std::less<>> counters_;
-  obs::Counter dropped_;
-  obs::Counter duplicated_;
-  obs::Counter retried_;
-  obs::Counter suspected_;
+  std::map<std::string, Tally, std::less<>> categories_;
+  std::unique_ptr<obs::Registry> registry_;
+  obs::Counter* messages_;  // instruments owned by *registry_
+  obs::Counter* bytes_;
+  obs::Counter* dropped_;
+  obs::Counter* duplicated_;
+  obs::Counter* retried_;
+  obs::Counter* suspected_;
 };
 
 }  // namespace bcc

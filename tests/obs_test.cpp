@@ -15,8 +15,10 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/assert.h"
@@ -27,6 +29,7 @@
 #include "obs/profile.h"
 #include "obs/trace.h"
 #include "sim/fault.h"
+#include "test_util.h"
 
 namespace bcc::obs {
 namespace {
@@ -78,14 +81,15 @@ TEST(ObsCounter, ConcurrentAddsSumExactly) {
   EXPECT_EQ(counter.value(), 0u);
 }
 
-TEST(ObsCounter, CopyCarriesTheValue) {
+TEST(ObsCounter, IsNotCopyable) {
+  // A copy would fork a count; components share a Counter through the
+  // registry that owns it, and stay movable by holding that registry by
+  // pointer (see MessageMetrics).
+  static_assert(!std::is_copy_constructible_v<Counter>);
+  static_assert(!std::is_copy_assignable_v<Counter>);
   Counter a;
-  a.add(41);
-  a.add(1);
-  Counter b(a);
-  EXPECT_EQ(b.value(), 42u);
-  b = b;  // self-assign collapses stripes, value unchanged
-  EXPECT_EQ(b.value(), 42u);
+  a.add(42);
+  EXPECT_EQ(a.value(), 42u);
 }
 
 // -------------------------------------------------------------- histogram
@@ -298,6 +302,65 @@ TEST(ObsRegistry, ResetKeepsRegistrationsAndReferences) {
   EXPECT_EQ(c.value(), 0u);
   c.add(1);  // old reference still valid and live
   EXPECT_EQ(registry.snapshot().counter_value("bcc.test.keep"), 1u);
+}
+
+TEST(ObsRegistry, ParentSumsLiveChildrenAndKeepsRetiredOnes) {
+  Registry root;
+  root.counter("bcc.test.events").add(1);
+  auto a = std::make_unique<Registry>(root);
+  Registry b(root);
+  a->counter("bcc.test.events").add(10);
+  a->histogram("bcc.test.hist").record(3);
+  a->gauge("bcc.test.depth", GaugeAgg::kSum).set(2.0);
+  b.counter("bcc.test.events").add(100);
+  b.histogram("bcc.test.hist").record(300);
+  b.gauge("bcc.test.depth", GaugeAgg::kSum).set(5.0);
+  LazyCounter rare = b.lazy_counter("bcc.test.rare");
+  EXPECT_EQ(rare.value(), 0u);
+  EXPECT_EQ(root.snapshot().counter_value("bcc.test.rare"), 0u);
+  EXPECT_EQ(b.snapshot().counters.size(), 1u);  // not registered yet
+  rare.add(4);
+
+  // Each child reads back only its own instruments.
+  EXPECT_EQ(a->snapshot().counter_value("bcc.test.events"), 10u);
+  EXPECT_EQ(b.snapshot().counter_value("bcc.test.events"), 100u);
+  EXPECT_EQ(b.snapshot().counter_value("bcc.test.rare"), 4u);
+  RegistrySnapshot s = root.snapshot();
+  EXPECT_EQ(s.counter_value("bcc.test.events"), 111u);
+  EXPECT_EQ(s.counter_value("bcc.test.rare"), 4u);
+  EXPECT_EQ(s.histogram("bcc.test.hist")->count, 2u);
+  EXPECT_EQ(s.histogram("bcc.test.hist")->max, 300u);
+  EXPECT_DOUBLE_EQ(s.gauge_value("bcc.test.depth"), 7.0);
+
+  // A destroyed child's values fold into the parent; a reset child's too.
+  a.reset();
+  b.reset();
+  EXPECT_EQ(b.snapshot().counter_value("bcc.test.events"), 0u);
+  b.counter("bcc.test.events").add(1000);
+  s = root.snapshot();
+  EXPECT_EQ(s.counter_value("bcc.test.events"), 1111u);
+  EXPECT_EQ(s.counter_value("bcc.test.rare"), 4u);
+  EXPECT_EQ(s.histogram("bcc.test.hist")->count, 2u);
+
+  // Resetting the root clears its own and the retired values only.
+  root.reset();
+  EXPECT_EQ(root.snapshot().counter_value("bcc.test.events"), 1000u);
+}
+
+TEST(ObsRegistry, MergeSnapshotsIsTheFleetMerge) {
+  Registry x;
+  Registry y;
+  x.counter("bcc.test.c").add(2);
+  y.counter("bcc.test.c").add(3);
+  x.gauge("bcc.test.ratio", GaugeAgg::kMean).set(0.25);
+  y.gauge("bcc.test.ratio", GaugeAgg::kMean).set(0.75);
+  const RegistrySnapshot sx = x.snapshot();
+  const RegistrySnapshot sy = y.snapshot();
+  const RegistrySnapshot* parts[] = {&sx, &sy};
+  const RegistrySnapshot m = merge_snapshots(parts);
+  EXPECT_EQ(m.counter_value("bcc.test.c"), 5u);
+  EXPECT_DOUBLE_EQ(m.gauge_value("bcc.test.ratio"), 0.5);
+  EXPECT_EQ(m.gauge_agg("bcc.test.ratio"), GaugeAgg::kMean);
 }
 
 // ----------------------------------------------------------------- tracer
@@ -919,8 +982,8 @@ TEST(ObsExport, NonFiniteGaugesExportAsZero) {
 // ------------------------------------------------------------ bench report
 
 TEST(ObsBenchReport, WritesJsonFileToBenchOutDir) {
-  const auto dir = std::filesystem::temp_directory_path() / "bcc_obs_test";
-  std::filesystem::create_directories(dir);
+  const testutil::TestTempDir tmp;
+  const std::filesystem::path& dir = tmp.dir();
   ASSERT_EQ(setenv("BCC_BENCH_OUT", dir.c_str(), 1), 0);
   BenchReport report("unit");
   report.set("bcc.bench.unit.answer", 42.0);
@@ -935,7 +998,6 @@ TEST(ObsBenchReport, WritesJsonFileToBenchOutDir) {
   const std::string content(buf, n);
   EXPECT_NE(content.find("\"bench\":\"unit\""), std::string::npos);
   EXPECT_NE(content.find("\"bcc.bench.unit.answer\": 42"), std::string::npos);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(ObsBenchReport, RejectsBadNames) {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/system.h"
+#include "obs/metrics.h"
 #include "test_util.h"
 #include "tree/embedder.h"
 
@@ -297,17 +298,14 @@ TEST(QueryService, StatsCountStatusesHopsAndLatency) {
   EXPECT_EQ(stats.total(), batch.size());
 
   // Hop histogram only counts routed queries (found / not-found).
-  std::uint64_t routed = 0;
-  for (std::uint64_t c : stats.hop_histogram) routed += c;
-  EXPECT_EQ(routed, 3u);
+  EXPECT_EQ(stats.hops.count, 3u);
 
   // Latency histogram counts every record; percentile is monotone in p.
-  std::uint64_t latency_samples = 0;
-  for (std::uint64_t c : stats.latency_histogram) latency_samples += c;
-  EXPECT_EQ(latency_samples, batch.size());
+  EXPECT_EQ(stats.latency.count, batch.size());
+  EXPECT_TRUE(stats.consistent);
   EXPECT_LE(stats.latency_percentile_micros(50.0),
             stats.latency_percentile_micros(99.0));
-  EXPECT_LE(stats.latency_percentile_micros(99.0), stats.max_micros);
+  EXPECT_LE(stats.latency_percentile_micros(99.0), stats.latency.max);
 
   service.reset_stats();
   EXPECT_EQ(service.stats().total(), 0u);
@@ -465,44 +463,94 @@ TEST(QueryService, ConcurrentBatchesRaceSnapshotSwaps) {
   EXPECT_EQ(service.stats().total(), checked);
 }
 
-// Writers hammer record() while a reader snapshots continuously. Every
-// snapshot flagged `consistent` must balance exactly: each record feeds one
-// status counter and one latency bucket, so the two totals can never differ
-// in a torn-free copy. (tools/sanitize.sh runs this under ThreadSanitizer.)
+std::uint64_t global_counter(std::string_view name) {
+  return obs::Registry::global().snapshot().counter_value(name);
+}
+
+TEST(QueryServiceRegistry, ServicesCountApartAndTheGlobalRegistrySumsThem) {
+  auto sys = make_system(16, 100, 5);
+  const std::uint64_t queries0 = global_counter("bcc.serve.queries");
+  const std::uint64_t hits0 = global_counter("bcc.serve.cache_hits");
+  const std::uint64_t shed0 = global_counter("bcc.serve.shard.shed");
+  QueryServiceOptions options;
+  options.threads = 1;
+  QueryService a(sys, options);
+  QueryService b(sys, options);
+  const QueryRequest req = QueryRequest::at_class(0, 2, 0);
+  {
+    QueryService gone(sys, options);
+    for (int i = 0; i < 3; ++i) gone.submit(req);  // 1 miss + 2 hits
+    EXPECT_EQ(gone.stats().total(), 3u);
+  }
+  for (int i = 0; i < 5; ++i) a.submit(req);
+  for (int i = 0; i < 7; ++i) b.submit(req);
+  b.submit(QueryRequest::at_class(0, 1, 0));  // invalid k
+
+  const auto sa = a.stats();
+  const auto sb = b.stats();
+  EXPECT_EQ(sa.total(), 5u);
+  EXPECT_EQ(sa.cache_hits, 4u);
+  EXPECT_EQ(sa.count(QueryStatus::kInvalidK), 0u);
+  EXPECT_EQ(sb.total(), 8u);
+  EXPECT_EQ(sb.cache_hits, 6u);
+  EXPECT_EQ(sb.count(QueryStatus::kInvalidK), 1u);
+  // The global view sums live services with the destroyed one.
+  EXPECT_EQ(global_counter("bcc.serve.queries") - queries0, 3u + 5u + 8u);
+  EXPECT_EQ(global_counter("bcc.serve.cache_hits") - hits0, 2u + 4u + 6u);
+  EXPECT_EQ(global_counter("bcc.serve.shard.shed") - shed0, 0u);
+  // reset_stats() zeroes one service, never the process-lifetime totals.
+  a.reset_stats();
+  EXPECT_EQ(a.stats().total(), 0u);
+  EXPECT_EQ(b.stats().total(), 8u);
+  EXPECT_EQ(global_counter("bcc.serve.queries") - queries0, 16u);
+  a.submit(req);
+  EXPECT_EQ(a.stats().total(), 1u);
+  EXPECT_EQ(global_counter("bcc.serve.queries") - queries0, 17u);
+}
+
+// Submitters hammer submit() while a reader takes stats() continuously.
+// Every result flagged `consistent` must balance exactly: each query feeds
+// one status and one latency sample, so the two totals can never differ in
+// a torn-free read, and its cache hit and hop sample belong to that same
+// set of queries. (tools/sanitize.sh runs this under ThreadSanitizer.)
 TEST(QueryStatsConsistency, SnapshotsNeverTearUnderConcurrentRecords) {
-  QueryStats stats;
+  auto sys = make_system(24, 100, 33);
+  QueryServiceOptions options;
+  options.threads = 1;
+  QueryService service(sys, options);
+  // One hot key: after this warmup miss every submit of it is a found cache
+  // hit, so the only queries that are not hits are the miss and the invalid
+  // ones. A hit or hop counted from a query outside the read's set shows up
+  // as more hits or hops than that set holds.
+  const QueryRequest hot = QueryRequest::at_class(3, 4, 0);
+  ASSERT_EQ(service.submit(hot).status, QueryStatus::kFound);
   constexpr std::size_t kWriters = 4;
-  constexpr std::size_t kRecordsPerWriter = 20000;
+  constexpr std::size_t kQueriesPerWriter = 20000;
 
   std::atomic<bool> done{false};
   std::size_t consistent_seen = 0;
   std::size_t snapshots_taken = 0;
   std::thread reader([&] {
     while (!done.load(std::memory_order_acquire)) {
-      const auto s = stats.snapshot();
+      const auto s = service.stats();
       ++snapshots_taken;
       if (!s.consistent) continue;
       ++consistent_seen;
-      std::uint64_t latency_total = 0;
-      for (std::uint64_t c : s.latency_histogram) latency_total += c;
-      ASSERT_EQ(s.total(), latency_total)
+      ASSERT_EQ(s.total(), s.latency.count)
           << "consistent snapshot has torn status/latency totals";
       ASSERT_LE(s.cache_hits, s.total());
-      std::uint64_t routed = 0;
-      for (std::uint64_t c : s.hop_histogram) routed += c;
-      ASSERT_LE(routed, s.total());
+      ASSERT_LE(s.hops.count, s.total());
+      ASSERT_LE(s.cache_hits + 1 + s.count(QueryStatus::kInvalidK),
+                s.total());
+      ASSERT_LE(s.hops.count, s.count(QueryStatus::kFound));
     }
   });
 
   std::vector<std::thread> writers;
   for (std::size_t t = 0; t < kWriters; ++t) {
-    writers.emplace_back([&stats, t] {
-      for (std::size_t i = 0; i < kRecordsPerWriter; ++i) {
-        QueryResult r;
-        r.status = (i % 3 == 0) ? QueryStatus::kFound : QueryStatus::kNotFound;
-        r.hops = i % 20;
-        r.micros = (t + 1) * (i % 1000);
-        stats.record(r, /*cache_hit=*/i % 4 == 0);
+    writers.emplace_back([&service, &hot] {
+      for (std::size_t i = 0; i < kQueriesPerWriter; ++i) {
+        service.submit(i % 8 == 0 ? QueryRequest::at_class(3, 1, 0) : hot);
       }
     });
   }
@@ -510,17 +558,20 @@ TEST(QueryStatsConsistency, SnapshotsNeverTearUnderConcurrentRecords) {
   done.store(true, std::memory_order_release);
   reader.join();
 
-  // Quiescent: the final snapshot must be exact on the first attempt.
-  const auto s = stats.snapshot();
+  // Quiescent: the final read must be exact on the first attempt.
+  const std::uint64_t total = kWriters * kQueriesPerWriter + 1;
+  const std::uint64_t invalid = kWriters * (kQueriesPerWriter / 8);
+  const auto s = service.stats();
   EXPECT_TRUE(s.consistent);
-  EXPECT_EQ(s.total(), kWriters * kRecordsPerWriter);
-  std::uint64_t latency_total = 0;
-  for (std::uint64_t c : s.latency_histogram) latency_total += c;
-  EXPECT_EQ(latency_total, kWriters * kRecordsPerWriter);
-  EXPECT_EQ(s.cache_hits, kWriters * kRecordsPerWriter / 4);
+  EXPECT_EQ(s.total(), total);
+  EXPECT_EQ(s.latency.count, total);
+  EXPECT_EQ(s.count(QueryStatus::kInvalidK), invalid);
+  EXPECT_EQ(s.count(QueryStatus::kFound), total - invalid);
+  EXPECT_EQ(s.cache_hits, total - invalid - 1);
+  EXPECT_EQ(s.hops.count, total - invalid);
   EXPECT_GT(snapshots_taken, 0u);
-  // Not asserted — under a saturating write load every mid-run snapshot may
-  // legitimately come back best-effort — but worth surfacing.
+  // Not asserted — under a saturating write load every mid-run read may
+  // legitimately come back inconsistent — but worth surfacing.
   (void)consistent_seen;
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/assert.h"
+#include "obs/metrics.h"
 
 namespace bcc {
 namespace {
@@ -96,6 +97,59 @@ TEST(MessageMetrics, ResetClears) {
   m.reset();
   EXPECT_EQ(m.total_messages(), 0u);
   EXPECT_EQ(m.total_bytes(), 0u);
+}
+
+std::uint64_t global_counter(std::string_view name) {
+  return obs::Registry::global().snapshot().counter_value(name);
+}
+
+TEST(MessageMetrics, EnginesCountApartAndTheGlobalRegistrySumsThem) {
+  const std::uint64_t messages0 = global_counter("bcc.sim.messages");
+  const std::uint64_t bytes0 = global_counter("bcc.sim.bytes");
+  const std::uint64_t dropped0 = global_counter("bcc.sim.faults_dropped");
+  Engine a;
+  Engine b;
+  a.metrics().record("x", 10);
+  b.metrics().record("x", 1);
+  b.metrics().record("y", 2);
+  b.metrics().count_dropped();
+  {
+    Engine gone;
+    gone.metrics().record("x", 100);
+    gone.metrics().count_dropped();
+  }
+  EXPECT_EQ(a.metrics().total_messages(), 1u);
+  EXPECT_EQ(a.metrics().dropped(), 0u);
+  EXPECT_EQ(b.metrics().total_messages(), 2u);
+  EXPECT_EQ(b.metrics().dropped(), 1u);
+  // Live and destroyed engines alike: the global view is the sum.
+  EXPECT_EQ(global_counter("bcc.sim.messages") - messages0, 4u);
+  EXPECT_EQ(global_counter("bcc.sim.bytes") - bytes0, 113u);
+  EXPECT_EQ(global_counter("bcc.sim.faults_dropped") - dropped0, 2u);
+  // A reset clears the instance, not the process-lifetime totals.
+  b.metrics().reset();
+  EXPECT_EQ(b.metrics().total_messages(), 0u);
+  EXPECT_EQ(b.metrics().dropped(), 0u);
+  EXPECT_EQ(global_counter("bcc.sim.messages") - messages0, 4u);
+  EXPECT_EQ(global_counter("bcc.sim.faults_dropped") - dropped0, 2u);
+}
+
+TEST(MessageMetrics, MovedInstanceKeepsCountingIntoTheGlobalRegistry) {
+  const std::uint64_t messages0 = global_counter("bcc.sim.messages");
+  MessageMetrics source;
+  source.record("x", 5);
+  source.count_retried();
+  MessageMetrics moved(std::move(source));
+  moved.record("x", 5);
+  EXPECT_EQ(moved.messages("x"), 2u);
+  EXPECT_EQ(moved.total_bytes(), 10u);
+  EXPECT_EQ(moved.retried(), 1u);
+  MessageMetrics assigned;
+  assigned.record("z", 1);  // folded into the global view when replaced
+  assigned = std::move(moved);
+  assigned.record("x", 5);
+  EXPECT_EQ(assigned.total_messages(), 3u);
+  EXPECT_EQ(global_counter("bcc.sim.messages") - messages0, 4u);
 }
 
 }  // namespace

@@ -2,6 +2,13 @@
 // small fixtures used across module tests.
 #pragma once
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <string>
+#include <system_error>
 #include <vector>
 
 #include "common/rng.h"
@@ -90,5 +97,36 @@ inline std::vector<NodeId> iota_universe(std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) u[i] = i;
   return u;
 }
+
+/// A scratch directory private to the running test, removed on scope exit.
+/// ctest runs each TEST as its own process, possibly in parallel: a fixed
+/// shared directory lets one test's cleanup delete another's files
+/// mid-write, so the name carries the suite, the test and the process id.
+class TestTempDir {
+ public:
+  TestTempDir() {
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string name = std::string("bcc_") + info->test_suite_name() + "_" +
+                       info->name() + "_" + std::to_string(::getpid());
+    std::replace(name.begin(), name.end(), '/', '_');  // parameterized tests
+    dir_ = std::filesystem::temp_directory_path() / name;
+    std::filesystem::create_directories(dir_);
+  }
+  ~TestTempDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(dir_, ignored);
+  }
+  TestTempDir(const TestTempDir&) = delete;
+  TestTempDir& operator=(const TestTempDir&) = delete;
+
+  const std::filesystem::path& dir() const { return dir_; }
+  /// Path of `file` inside the directory.
+  std::string path(const std::string& file) const {
+    return (dir_ / file).string();
+  }
+
+ private:
+  std::filesystem::path dir_;
+};
 
 }  // namespace bcc::testutil

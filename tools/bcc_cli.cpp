@@ -360,7 +360,7 @@ int cmd_query(int argc, const char* const* argv) {
                 "%llu shed (%llu with stale answer), peak shard in-flight %zu\n",
                 serve_options.shards, serve_options.admission.rate_qps,
                 static_cast<unsigned long long>(admission.admitted),
-                static_cast<unsigned long long>(admission.shed_total()),
+                static_cast<unsigned long long>(admission.shed),
                 static_cast<unsigned long long>(admission.shed_with_answer),
                 admission.peak_shard_inflight);
   }
@@ -925,7 +925,7 @@ int cmd_health(int argc, const char* const* argv) {
                 burst.size(), service.options().shards,
                 serve_options.admission.rate_qps,
                 static_cast<unsigned long long>(admission.admitted),
-                static_cast<unsigned long long>(admission.shed_total()),
+                static_cast<unsigned long long>(admission.shed),
                 static_cast<unsigned long long>(admission.shed_with_answer),
                 degraded, replies.size(), admission.peak_shard_inflight,
                 service.snapshots_in_limbo());
